@@ -9,7 +9,6 @@ Usage::
     python -m repro breakdown             # §6.3 speedup decomposition
     python -m repro prove --workers 4     # real proofs on the parallel runtime
     python -m repro prove --backend sharded:pool:2,pool:2
-    python -m repro prove --backend pipelined:4   # stage-pipelined threads
     python -m repro serve --requests 60   # streaming service on a synthetic trace
 
 Resilience drills (S25)::
@@ -109,8 +108,8 @@ def _fold_lanes(selector, lanes, workers: int):
     """Fold a ``--lanes`` request into a backend selector string.
 
     ``--lanes`` alone proves lane groups in process (pooled when
-    ``--workers`` asks for more); combined with a ``pool``/``pipelined``
-    backend it hands that substrate lane-group-sized dispatch units.
+    ``--workers`` asks for more); combined with a ``pool`` backend it
+    hands the pool lane-group-sized dispatch units.
     Other heads have their own composition grammar (e.g.
     ``resilient:lanes:8``) — spelling it explicitly beats guessing.
     """
@@ -130,12 +129,12 @@ def _fold_lanes(selector, lanes, workers: int):
     if selector == "serial":
         return lane_selector(lanes, 1)
     head = selector.split(":", 1)[0].lower()
-    if head in ("pool", "pipelined"):
+    if head == "pool":
         width = AUTO_LANE_WIDTH if lanes == "auto" else lanes
         return f"lanes:{width}:{selector}"
     raise SystemExit(
-        f"--lanes composes with 'serial', 'pool', or 'pipelined' "
-        f"backends; for {selector!r} spell the lane selector explicitly "
+        f"--lanes composes with 'serial' or 'pool' backends; "
+        f"for {selector!r} spell the lane selector explicitly "
         f"(e.g. 'resilient:lanes:8')"
     )
 
@@ -548,7 +547,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="SELECTOR",
         help="execution backend for `prove` / `serve`, e.g. 'serial', "
-        "'pool:4', 'pipelined:4', 'sharded:pool:2,pool:2' (default: "
+        "'pool:4', 'lanes:auto', 'sharded:pool:2,pool:2' (default: "
         "derived from --workers)",
     )
     parser.add_argument(
@@ -556,8 +555,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="N|auto",
         help="prove same-circuit tasks in fused lane groups of this "
-        "width (S31); composes with --workers and with 'serial'/'pool'/"
-        "'pipelined' --backend selectors",
+        "width (S31); composes with --workers and with 'serial'/'pool' "
+        "--backend selectors",
     )
     parser.add_argument(
         "--tasks",

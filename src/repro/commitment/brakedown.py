@@ -111,11 +111,10 @@ class EncodedRows:
     """The encode half of a commit: codeword rows awaiting the Merkle half.
 
     Produced by :meth:`BrakedownPCS.encode_rows` and consumed by
-    :meth:`BrakedownPCS.commit_encoded` — the boundary the pipelined
-    executor schedules across, so proof *i+1* can be encoding while
-    proof *i* hashes.  ``codewords`` carries the fast path's uint64
-    matrix so the Merkle half packs leaves without a round-trip through
-    Python ints.
+    :meth:`BrakedownPCS.commit_encoded` — the encode/Merkle boundary, so
+    the prover times and attributes the two halves separately.
+    ``codewords`` carries the fast path's uint64 matrix so the Merkle half
+    packs leaves without a round-trip through Python ints.
     """
 
     matrix: List[List[int]]  # R×C coefficient matrix
@@ -256,7 +255,7 @@ class BrakedownPCS:
         """Commit to a multilinear polynomial given its hypercube table.
 
         Composition of :meth:`encode_rows` and :meth:`commit_encoded`
-        (the stage boundary the pipelined executor drives separately) —
+        (the encode and Merkle halves the prover calls in turn) —
         byte-identical to the historical monolithic commit.
         """
         return self.commit_encoded(self.encode_rows(evals))

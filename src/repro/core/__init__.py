@@ -22,7 +22,6 @@ from .circuit import (
     random_circuit,
 )
 from .constraint import ConstraintSumcheckProver
-from .lanes import LanedProof
 from .gadgets import (
     abs_value,
     assert_in_range,
@@ -36,7 +35,7 @@ from .gadgets import (
     to_bits,
 )
 from .proof import PublicBinding, SnarkProof
-from .prover import PIPELINE_STAGES, SnarkProver, StagedProof, make_pcs
+from .prover import SnarkProver, make_pcs
 from .r1cs import R1CS, next_power_of_two
 from .serialize import (
     deserialize_proof,
@@ -56,9 +55,6 @@ __all__ = [
     "next_power_of_two",
     "ConstraintSumcheckProver",
     "SnarkProver",
-    "StagedProof",
-    "LanedProof",
-    "PIPELINE_STAGES",
     "SnarkVerifier",
     "make_pcs",
     "SnarkProof",

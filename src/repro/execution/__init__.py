@@ -31,7 +31,6 @@ from .laned import (
     lane_selector,
     resolve_lane_width,
 )
-from .pipelined import PipelinedBackend, StageGroup, plan_stage_workers
 from .registry import (
     available_backends,
     register_backend,
@@ -63,8 +62,8 @@ proof service inherit the service's sink and batch span automatically.
 **Selector strings.** `resolve_backend("serial")` proves inline;
 `"pool"`/`"pool:8"` shard across a process pool;
 `"lanes:64"`/`"lanes:auto"` prove same-circuit tasks in fused numpy
-lane groups (S31; `"lanes:16:pool:4"` / `"lanes:16:pipelined:4"` give a
-parallel substrate lane-group-sized dispatch units);
+lane groups (S31; `"lanes:16:pool:4"` gives the process pool
+lane-group-sized dispatch units);
 `"sharded:pool:4,pool:4"` splits each batch across concurrent children
 proportionally to their parallelism (largest-remainder rounding — the
 same placement arithmetic as the multi-GPU farm simulator).  Instances
@@ -83,20 +82,17 @@ terminal.
 __all__ = [
     "AUTO_LANE_WIDTH",
     "LanedBackend",
-    "PipelinedBackend",
     "PoolBackend",
     "ProvingBackend",
     "RequestLineage",
     "SerialBackend",
     "ShardedBackend",
     "SpanNode",
-    "StageGroup",
     "available_backends",
     "format_lineage",
     "lane_selector",
     "largest_remainder_shares",
     "lineage_of",
-    "plan_stage_workers",
     "load_trace",
     "register_backend",
     "request_lineage",

@@ -5,7 +5,7 @@ circuit (§2.1 — an MLaaS service proving the same model for many
 clients).  At small gate counts the per-proof cost here is dominated by
 per-dispatch kernel overhead, not arithmetic; :class:`LanedBackend`
 amortizes it by proving ``lane_width`` same-circuit tasks in lockstep
-through :meth:`~repro.core.prover.SnarkProver.begin_lanes` — every hot
+through :meth:`~repro.core.prover.SnarkProver.prove_lanes` — every hot
 kernel sees one ``[lanes, n]`` array instead of ``lanes`` separate
 vectors.
 
@@ -26,8 +26,8 @@ Grouping and parity:
 Stage accounting: one :func:`~repro.kernels.profile.collect_stages`
 window wraps each group, and the group's wall time and stage dict are
 amortized uniformly over its *real* lanes, so per-task
-``stage_seconds`` still satisfy the S27 invariant
-``Σ exclusive(stages) <= prove_seconds`` (division is linear).
+``stage_seconds`` still satisfy ``Σ exclusive(stages) <= prove_seconds``
+(division is linear).
 
 Chaos hooks (``fault_injector``, ``max_retries``) follow the standard
 contract so ``apply_fault_plan`` walks this backend and

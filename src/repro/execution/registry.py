@@ -12,9 +12,6 @@ code::
     lanes:auto                  lane width sized from the batch
     lanes:16:pool:4             4-worker pool, each dispatch proving a
                                 16-lane group
-    lanes:16:pipelined:4        stage-pipelined over 16-lane groups
-    pipelined:4                 stage-pipelined threads, 4 workers
-    pipelined:auto              stage-pipelined, sized from the host
     sharded:pool:4,pool:4       two concurrent 4-worker pools
     sharded:pool:4,serial       heterogeneous children (weights default
                                 to each child's parallelism)
@@ -139,23 +136,6 @@ def _make_sharded(rest: str) -> ShardedBackend:
     return ShardedBackend([resolve_backend(part) for part in parts])
 
 
-def _make_pipelined(rest: str) -> ProvingBackend:
-    # Imported lazily: the pipelined module pulls in gpu.costs for its
-    # sizer, which this registry's importers don't otherwise need.
-    from .pipelined import PipelinedBackend
-
-    if not rest or rest == "auto":
-        return PipelinedBackend("auto")
-    try:
-        workers = int(rest)
-    except ValueError:
-        raise ExecutionError(
-            f"'pipelined' wants an integer worker count or 'auto', "
-            f"got {rest!r}"
-        ) from None
-    return PipelinedBackend(workers)
-
-
 def _make_lanes(rest: str) -> ProvingBackend:
     # Imported lazily for symmetry with the other optional substrates.
     from .laned import LanedBackend
@@ -173,28 +153,16 @@ def _make_lanes(rest: str) -> ProvingBackend:
         raise ExecutionError(f"lane width must be >= 1, got {width}")
     if not inner:
         return LanedBackend(width)
-    # Composition: 'lanes:W:pool:N' / 'lanes:W:pipelined:N' hand the
-    # inner substrate lane-group-sized dispatch units.
+    # Composition: 'lanes:W:pool:N' hands the pool lane-group-sized
+    # dispatch units.
     inner_head = inner.split(":", 1)[0].strip().lower()
-    backend: ProvingBackend
-    if inner_head == "pool":
-        backend = _make_pool(inner.partition(":")[2].strip())
-        backend.runtime_options["lane_width"] = width
-        backend.runtime_options.setdefault("chunk_size", width)
-    elif inner_head == "pipelined":
-        from .pipelined import PipelinedBackend
-
-        arg = inner.partition(":")[2].strip()
-        backend = (
-            PipelinedBackend("auto", lane_width=width)
-            if not arg or arg == "auto"
-            else PipelinedBackend(int(arg), lane_width=width)
-        )
-    else:
+    if inner_head != "pool":
         raise ExecutionError(
-            f"'lanes:{width}:' composes with 'pool' or 'pipelined', "
-            f"got {inner!r}"
+            f"'lanes:{width}:' composes with 'pool', got {inner!r}"
         )
+    backend = _make_pool(inner.partition(":")[2].strip())
+    backend.runtime_options["lane_width"] = width
+    backend.runtime_options.setdefault("chunk_size", width)
     backend.name = f"lanes:{width}:{inner}"
     return backend
 
@@ -248,7 +216,6 @@ def _make_cluster(rest: str) -> ProvingBackend:
 
 register_backend("serial", _make_serial)
 register_backend("pool", _make_pool)
-register_backend("pipelined", _make_pipelined)
 register_backend("lanes", _make_lanes)
 register_backend("sharded", _make_sharded)
 register_backend("resilient", _make_resilient)

@@ -195,88 +195,6 @@ def run_lanes(gates: int = 256, lanes: int = 64, reps: int = 2) -> dict:
     }
 
 
-# -- stage-pipelined executor (S27) --------------------------------------------
-
-
-def _measure_backend(selector: str, spec, task_list):
-    """One fresh backend run: wall seconds, throughput, wire bytes.
-
-    A fresh backend per measurement charges the pipelined warmup slice
-    (and the pool's worker startup) to every batch size — the honest
-    cold-start comparison."""
-    from ..execution import resolve_backend
-
-    backend = resolve_backend(selector)
-    start = time.perf_counter()
-    proofs, stats = backend.prove_tasks(spec, task_list)
-    seconds = time.perf_counter() - start
-    wire = [serialize_proof(p, DEFAULT_FIELD) for p in proofs]
-    return {
-        "seconds": seconds,
-        "throughput": len(task_list) / seconds,
-        "workers": stats.workers,
-    }, wire
-
-
-def run_pipeline_sweep(
-    gates: int = 384,
-    workers: int = 2,
-    batches: Sequence[int] = (4, 8, 16, 32),
-) -> dict:
-    """Batch-size sweep of serial vs pool:W vs pipelined:W.
-
-    Asserts byte parity of every backend against serial at every batch
-    size, and reports the smallest batch where the pipeline matches the
-    pool (``crossover_vs_pool``) and serial (``crossover_vs_serial``).
-    ``final_ratio_vs_pool`` — pipelined/pool throughput at the largest
-    batch — is the metric the ``min_ratio`` guard watches."""
-    rows = []
-    crossover_pool: Optional[int] = None
-    crossover_serial: Optional[int] = None
-    for batch in batches:
-        _, _, spec, task_list = _setup_tasks(gates, batch)
-        serial_row, serial_wire = _measure_backend("serial", spec, task_list)
-        pool_row, pool_wire = _measure_backend(
-            f"pool:{workers}", spec, task_list
-        )
-        pipe_row, pipe_wire = _measure_backend(
-            f"pipelined:{workers}", spec, task_list
-        )
-        assert pool_wire == serial_wire, "pool changed the proof bytes"
-        assert pipe_wire == serial_wire, "pipeline changed the proof bytes"
-        row = {
-            "batch": batch,
-            "serial": serial_row,
-            f"pool:{workers}": pool_row,
-            f"pipelined:{workers}": pipe_row,
-            "byte_identical": True,
-        }
-        rows.append(row)
-        if (
-            crossover_pool is None
-            and pipe_row["throughput"] >= pool_row["throughput"]
-        ):
-            crossover_pool = batch
-        if (
-            crossover_serial is None
-            and pipe_row["throughput"] >= serial_row["throughput"]
-        ):
-            crossover_serial = batch
-    last = rows[-1]
-    return {
-        "gates": gates,
-        "workers": workers,
-        "host_cores": os.cpu_count() or 1,
-        "rows": rows,
-        "crossover_vs_pool": crossover_pool,
-        "crossover_vs_serial": crossover_serial,
-        "final_ratio_vs_pool": (
-            last[f"pipelined:{workers}"]["throughput"]
-            / last[f"pool:{workers}"]["throughput"]
-        ),
-    }
-
-
 # -- distributed cluster (S28) -------------------------------------------------
 
 
@@ -907,7 +825,6 @@ def run_runtime_suite(
 
 __all__ = [
     "run_hotpath",
-    "run_pipeline_sweep",
     "run_cluster_scaleout",
     "run_fleet_serving",
     "run_degradation_curve",

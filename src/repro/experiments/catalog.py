@@ -257,24 +257,6 @@ _EXTENSION_SPECS = [
         quick_params={"gates": 256, "lanes": 64, "reps": 2},
     ),
     ExperimentSpec(
-        name="bench_pipeline",
-        description="S27 stage-pipelined executor vs pool vs serial sweep",
-        runner=lambda params: benches.run_pipeline_sweep(**params),
-        tags=("extension", "ci"),
-        guards=(
-            Guard(
-                name="min_ratio",
-                metric="final_ratio_vs_pool",
-                op=">=",
-                threshold=1.0,
-                description="pipelined must match the pool at the largest "
-                "batch (legacy --min-ratio)",
-            ),
-        ),
-        full_params={"gates": 384, "workers": 2, "batches": (4, 8, 16, 32)},
-        quick_params={"gates": 128, "batches": (4, 8)},
-    ),
-    ExperimentSpec(
         name="bench_cluster",
         description="S28 cluster: 1-node vs 2-node fleet scale-out",
         runner=lambda params: benches.run_cluster_scaleout(**params),

@@ -46,7 +46,6 @@ from .profile import (
     STAGE_CHILDREN,
     STAGE_NAMES,
     StageProfile,
-    collect_into,
     collect_stages,
     exclusive_stage_seconds,
     stage,
@@ -97,7 +96,6 @@ __all__ = [
     "stage",
     "STAGE_NAMES",
     "STAGE_CHILDREN",
-    "collect_into",
     "exclusive_stage_seconds",
 ]
 

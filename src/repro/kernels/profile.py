@@ -41,7 +41,6 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 __all__ = [
     "StageProfile",
     "collect_stages",
-    "collect_into",
     "exclusive_stage_seconds",
     "stage",
     "STAGE_NAMES",
@@ -139,24 +138,6 @@ _ACTIVE: ContextVar[Optional[StageProfile]] = ContextVar(
 def collect_stages() -> Iterator[StageProfile]:
     """Collect stage timings from everything proved inside the block."""
     profile = StageProfile()
-    token = _ACTIVE.set(profile)
-    try:
-        yield profile
-    finally:
-        _ACTIVE.reset(token)
-
-
-@contextmanager
-def collect_into(profile: StageProfile) -> Iterator[StageProfile]:
-    """Collect stage timings into an *existing* profile.
-
-    The pipelined executor runs one proof's stages on different worker
-    threads; each thread has its own ContextVar state, so the per-task
-    profile must travel with the task.  Wrapping each stage execution in
-    ``collect_into(task_profile)`` accumulates every thread's timings
-    into the one shared profile (stage hand-offs serialize the writes,
-    so no lock is needed).
-    """
     token = _ACTIVE.set(profile)
     try:
         yield profile

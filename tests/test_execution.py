@@ -134,6 +134,7 @@ class TestRegistry:
         for bad in (
             "", "warp", "serial:3", "pool:many", "sharded:",
             "sharded:pool:2,,serial", "sharded:sharded:serial",
+            "pipelined:2", "lanes:4:pipelined:2",
         ):
             with pytest.raises(ExecutionError):
                 resolve_backend(bad)
@@ -359,180 +360,3 @@ class TestSharedPercentile:
         from repro.stats import percentile as shared
 
         assert reexported is shared
-
-
-# -- stage-pipelined backend (S27) ---------------------------------------------
-
-class TestPipelinedPlanner:
-    def test_registry_parsing(self):
-        assert "pipelined" in available_backends()
-        backend = resolve_backend("pipelined:3")
-        assert backend.name == "pipelined:3" and backend.parallelism == 3
-        assert resolve_backend("pipelined:auto").name == "pipelined:auto"
-        assert resolve_backend("pipelined").parallelism >= 2
-        assert isinstance(resolve_backend("pipelined:2"), ProvingBackend)
-        for bad in ("pipelined:zero", "pipelined:0", "pipelined:-1"):
-            with pytest.raises(ExecutionError):
-                resolve_backend(bad)
-
-    def test_plan_covers_all_stages_once_in_order(self):
-        from repro.core import PIPELINE_STAGES
-        from repro.execution import plan_stage_workers
-
-        fractions = {
-            "merkle": 0.4, "sumcheck": 0.35, "encoder": 0.15, "other": 0.1,
-        }
-        for workers in range(1, 9):
-            plan = plan_stage_workers(fractions, workers)
-            flat = [s for group in plan for s in group.stages]
-            assert tuple(flat) == PIPELINE_STAGES  # contiguous, in order
-            assert sum(g.workers for g in plan) == workers
-            assert all(g.workers >= 1 for g in plan)
-
-    def test_surplus_workers_go_to_heaviest_stage(self):
-        from repro.execution import plan_stage_workers
-
-        plan = plan_stage_workers(
-            {"merkle": 0.7, "sumcheck": 0.1, "encoder": 0.1, "other": 0.1}, 6
-        )
-        workers = {g.stages[0]: g.workers for g in plan}
-        assert workers["merkle"] == max(workers.values())
-
-    def test_two_workers_balance_the_bottleneck(self):
-        from repro.execution import plan_stage_workers
-
-        # sumcheck dominates: the split must isolate it from the cheap
-        # head stages rather than cut at the midpoint blindly.
-        plan = plan_stage_workers(
-            {"merkle": 0.1, "sumcheck": 0.7, "encoder": 0.1, "other": 0.1}, 2
-        )
-        assert plan[1].stages[0] == "sumcheck"
-
-    def test_empty_fractions_fall_back_to_even_split(self):
-        from repro.execution import plan_stage_workers
-
-        plan = plan_stage_workers({}, 2)
-        assert [g.stages for g in plan] == [
-            ("encode", "merkle"), ("sumcheck", "open"),
-        ]
-
-    def test_invalid_workers_rejected(self):
-        from repro.execution import plan_stage_workers
-
-        with pytest.raises(ExecutionError):
-            plan_stage_workers({}, 0)
-
-
-class TestPipelinedBackend:
-    def test_proofs_byte_identical_to_serial(self, setup, serial_run):
-        _, spec, tasks = setup
-        proofs, stats = resolve_backend("pipelined:2").prove_tasks(spec, tasks)
-        assert _wire(proofs) == _wire(serial_run[0])
-        assert stats.proofs_generated == len(tasks)
-        assert stats.workers == 2
-
-    def test_second_batch_skips_warmup_and_stays_identical(
-        self, setup, serial_run
-    ):
-        _, spec, tasks = setup
-        backend = resolve_backend("pipelined:2")
-        backend.prove_tasks(spec, tasks)
-        proofs, _ = backend.prove_tasks(spec, tasks)  # plan now cached
-        assert _wire(proofs) == _wire(serial_run[0])
-
-    def test_empty_batch(self, setup):
-        _, spec, _ = setup
-        proofs, stats = resolve_backend("pipelined:2").prove_tasks(spec, [])
-        assert proofs == [] and stats.proofs_generated == 0
-
-    def test_four_workers_one_stage_each(self, setup, serial_run):
-        _, spec, tasks = setup
-        proofs, _ = resolve_backend("pipelined:4").prove_tasks(spec, tasks)
-        assert _wire(proofs) == _wire(serial_run[0])
-
-    def test_composes_under_sharded(self, setup, serial_run):
-        _, spec, tasks = setup
-        backend = resolve_backend("sharded:pipelined:2,serial")
-        proofs, _ = backend.prove_tasks(spec, tasks)
-        assert _wire(proofs) == _wire(serial_run[0])
-
-    def test_fault_plan_walk_reaches_backend(self):
-        from repro.resilience import FaultInjector, FaultPlan, apply_fault_plan
-
-        backend = resolve_backend("resilient:pipelined:2")
-        injector = FaultInjector(FaultPlan.parse("crash:0.1,seed=3"))
-        apply_fault_plan(backend, injector, min_retries=2)
-        inner = backend.children[0]
-        assert inner.fault_injector is injector
-        assert inner.max_retries >= 2
-
-    def test_exhausted_retries_raise_proof_error(self, setup):
-        from repro.errors import ProofError
-
-        _, spec, tasks = setup
-
-        def always_crash(task_id, attempt):
-            raise RuntimeError("injected")
-
-        backend = resolve_backend("pipelined:2")
-        backend.fault_injector = always_crash
-        backend.max_retries = 1
-        with pytest.raises(ProofError):
-            backend.prove_tasks(spec, tasks)
-
-
-class TestPipelinedTrace:
-    @pytest.fixture()
-    def traced_run(self, setup):
-        _, spec, tasks = setup
-        buf = io.StringIO()
-        sink = JsonlTraceSink(buf)
-        backend = resolve_backend("pipelined:2")
-        proofs, stats = backend.prove_tasks(spec, tasks, trace=sink)
-        return load_trace(buf.getvalue().splitlines()), stats, tasks
-
-    def test_every_task_walks_every_stage_in_order(self, traced_run):
-        from repro.core import PIPELINE_STAGES
-
-        events, _, tasks = traced_run
-        for task in tasks:
-            done = [
-                e["stage"] for e in events
-                if e["event"] == "stage_done" and e["task_id"] == task.task_id
-            ]
-            assert tuple(done) == PIPELINE_STAGES
-
-    def test_stage_events_are_span_stamped_under_backend(self, traced_run):
-        events, _, _ = traced_run
-        nodes = span_index(events)
-        backend_span = next(
-            e["span"] for e in events if e["event"] == "run_start"
-        )
-        for e in events:
-            if e["event"] in ("stage_enqueue", "stage_start", "stage_done"):
-                assert e["kind"] == "task"
-                assert e["parent"] == backend_span
-                assert nodes[e["span"]].parent == backend_span
-
-    def test_breakdown_replay_matches_stats(self, traced_run):
-        from repro.execution import stage_breakdown
-
-        events, stats, _ = traced_run
-        assert stage_breakdown(events) == stats.stage_totals()
-        replayed = stage_breakdown(events, exclusive=False)
-        assert replayed == stats.stage_totals(exclusive=False)
-
-    def test_plan_event_partitions_workers(self, traced_run):
-        events, stats, _ = traced_run
-        plan = next(e for e in events if e["event"] == "pipeline_plan")
-        assert sum(g["workers"] for g in plan["groups"]) == stats.workers
-        fr = plan["fractions"]
-        assert sum(fr.values()) == pytest.approx(1.0)
-
-    def test_exclusive_fractions_sum_within_prove_wall(self, traced_run):
-        # Acceptance: exclusive stage fractions are shares of proving
-        # wall time — they sum to <= 1.0 of it.
-        _, stats, _ = traced_run
-        excl = stats.stage_totals()
-        prove_wall = sum(r.prove_seconds for r in stats.records)
-        assert 0.0 < sum(excl.values()) <= prove_wall * 1.0 + 1e-9

@@ -81,11 +81,11 @@ def test_duplicate_registration_rejected(clean_registry):
 
 def test_unknown_experiment_lists_names_and_suggests(clean_registry):
     register_experiment(_toy_spec("bench_hotpath"))
-    register_experiment(_toy_spec("bench_pipeline"))
+    register_experiment(_toy_spec("bench_lanes"))
     with pytest.raises(ExperimentError) as err:
         get_experiment("bench_hotpat")
     message = str(err.value)
-    assert "bench_hotpath" in message and "bench_pipeline" in message
+    assert "bench_hotpath" in message and "bench_lanes" in message
     assert "did you mean 'bench_hotpath'?" in message
 
 
@@ -111,7 +111,7 @@ def test_builtin_catalog_registers_everything():
     names = set(available_experiments())
     assert set(PAPER_EXPERIMENTS) <= names
     for bench in (
-        "bench_hotpath", "bench_pipeline", "bench_cluster",
+        "bench_hotpath", "bench_lanes", "bench_cluster",
         "bench_resilience", "bench_service", "bench_backends",
         "bench_parallel_runtime", "bench_fleet",
     ):

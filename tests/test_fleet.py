@@ -302,18 +302,32 @@ class TestBoundedDrain:
 # -- DRAIN protocol frame ------------------------------------------------------
 
 
-class _SlowBackend:
-    """Serial backend that sleeps first — keeps a PROVE in flight."""
+class _GatedBackend:
+    """Serial backend that holds every PROVE until the test releases it.
 
-    def __init__(self, delay=0.3):
+    ``entered`` is set once a batch reaches the node's backend, so the
+    test knows a PROVE is in flight; ``release`` opens the gate.
+    """
+
+    def __init__(self):
         self.inner = SerialBackend()
-        self.delay = delay
-        self.name = "slow:serial"
+        self.name = "gated:serial"
         self.parallelism = 1
+        self.entered = threading.Event()
+        self.release = threading.Event()
 
     def prove_tasks(self, spec, tasks, *, trace=None, parent=None):
-        time.sleep(self.delay)
+        self.entered.set()
+        if not self.release.wait(timeout=30):
+            raise RuntimeError("gated backend never released")
         return self.inner.prove_tasks(spec, tasks, trace=trace, parent=parent)
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.001)
 
 
 class TestDrainProtocol:
@@ -336,21 +350,29 @@ class TestDrainProtocol:
 
     def test_drain_waits_for_in_flight_batch(self, setup, serial_wire):
         _, spec, tasks = setup
-        server = NodeServer(backend=_SlowBackend(delay=0.4)).start()
+        backend = _GatedBackend()
+        server = NodeServer(backend=backend).start()
         prover_client = RemoteBackend(server.host, server.port)
         box = {}
 
         def prove():
             box["proofs"] = prover_client.prove_tasks(spec, tasks)[0]
 
-        worker = threading.Thread(target=prove, daemon=True)
-        try:
-            worker.start()
-            time.sleep(0.1)  # let the PROVE land on the node
-            reply = drain_address(
+        def drain():
+            box["reply"] = drain_address(
                 f"{server.host}:{server.port}", timeout=10.0
             )
-            assert reply["drained"] is True
+
+        worker = threading.Thread(target=prove, daemon=True)
+        drainer = threading.Thread(target=drain, daemon=True)
+        try:
+            worker.start()
+            assert backend.entered.wait(timeout=10)  # PROVE is in flight
+            drainer.start()
+            _wait_until(lambda: server.stats()["draining"])
+            backend.release.set()
+            drainer.join(timeout=30)
+            assert box["reply"]["drained"] is True
             worker.join(timeout=30)
             # Drain waited: the in-flight batch finished, byte-identical.
             assert _wire(box["proofs"]) == serial_wire
@@ -360,7 +382,8 @@ class TestDrainProtocol:
 
     def test_drain_timeout_reports_not_drained(self, setup):
         _, spec, tasks = setup
-        server = NodeServer(backend=_SlowBackend(delay=1.0)).start()
+        backend = _GatedBackend()
+        server = NodeServer(backend=backend).start()
         prover_client = RemoteBackend(server.host, server.port)
         try:
             worker = threading.Thread(
@@ -368,12 +391,13 @@ class TestDrainProtocol:
                 daemon=True,
             )
             worker.start()
-            time.sleep(0.1)
+            assert backend.entered.wait(timeout=10)  # PROVE is in flight
             reply = drain_address(
                 f"{server.host}:{server.port}", timeout=0.05
             )
             assert reply["drained"] is False
             assert reply["in_flight"] >= 1
+            backend.release.set()
             worker.join(timeout=30)
         finally:
             prover_client.close()

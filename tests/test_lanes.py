@@ -11,7 +11,7 @@ Four properties pin the lane dimension down:
    ``lanes=1`` group and the ragged final group of a batch.
 3. **Selector surface** — ``lanes:<W>``/``lanes:auto`` resolve, pad,
    and compose; ``lane_selector``/``resolve_lane_width`` behave.
-4. **Accounting** — amortized per-lane stage seconds keep the S27
+4. **Accounting** — amortized per-lane stage seconds keep the
    invariant Σ(exclusive stages) ≤ proving wall per task record.
 """
 
@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProofTask, SnarkVerifier, random_circuit
-from repro.core.lanes import LanedProof
-from repro.core.prover import PIPELINE_STAGES, make_pcs
+from repro.core.prover import make_pcs
 from repro.core.serialize import serialize_proof
 from repro.execution import (
     AUTO_LANE_WIDTH,
@@ -35,6 +34,7 @@ from repro.field import DEFAULT_FIELD, PrimeField, fast61
 from repro.field.primes import MERSENNE61
 from repro.hashing.hashers import get_hasher
 from repro.kernels import field_kernels, use_reference_kernels
+from repro.kernels.profile import exclusive_stage_seconds
 from repro.merkle.tree import MerkleTree, build_forest
 from repro.runtime import ProverSpec
 
@@ -336,20 +336,18 @@ class TestLanedProofByteIdentity:
         (laned,) = prover.prove_lanes([task.witness], [task.public_values])
         assert serialize_proof(laned, F) == serialize_proof(alone, F)
 
-    def test_laned_proof_walks_pipeline_stages(self):
+    @pytest.mark.parametrize("selector", ["serial", "lanes:4"])
+    def test_records_carry_every_stage_key(self, selector):
+        """Per-task stage timings name every instrumented stage, and
+        their exclusive (summable) view fits inside the proof's wall."""
         spec, tasks = _make_spec_and_tasks(F, 24, 2)
-        prover = spec.build_prover()
-        staged = prover.begin_lanes(
-            [t.witness for t in tasks], [t.public_values for t in tasks]
-        )
-        assert isinstance(staged, LanedProof)
-        seen = []
-        while not staged.done:
-            seen.append(staged.next_stage)
-            staged.run_next()
-        assert seen == list(PIPELINE_STAGES)
-        assert staged.next_stage is None
-        assert len(staged.proofs) == 2
+        _, stats = resolve_backend(selector).prove_tasks(spec, tasks)
+        for record in stats.records:
+            assert set(record.stage_seconds) == {
+                "commit", "encode", "merkle", "sumcheck1", "sumcheck2", "open",
+            }
+            exclusive = exclusive_stage_seconds(record.stage_seconds)
+            assert sum(exclusive.values()) <= record.prove_seconds + 1e-6
 
 
 # -- lane backend: selectors, padding, accounting -----------------------------
@@ -376,7 +374,6 @@ class TestLaneBackend:
         assert resolve_backend("lanes:auto").lane_width == "auto"
         assert resolve_backend("lanes:16").lane_width == 16
         assert resolve_backend("lanes:4").name == "lanes:4"
-        assert resolve_backend("lanes:4:pipelined:2").name == "lanes:4:pipelined:2"
 
     def test_ragged_final_group_pads_and_matches_serial(self):
         spec, tasks = _make_spec_and_tasks(F, 24, 7)
@@ -397,8 +394,7 @@ class TestLaneBackend:
         """Amortized per-lane stages: Σ(exclusive) ≤ prove wall per task.
 
         ``encode`` and ``merkle`` nest inside ``commit``, so the
-        exclusive sum leaves them out — the same accounting rule the
-        S27 pipelined executor pins.
+        exclusive sum leaves them out.
         """
         spec, tasks = _make_spec_and_tasks(F, 24, 6)
         _, stats = resolve_backend("lanes:4").prove_tasks(spec, tasks)

@@ -410,12 +410,10 @@ class TestChaosParity:
     @pytest.mark.parametrize("selector", [
         "serial",
         "pool:2",
-        "pipelined:2",
         "lanes:4",
         "resilient:lanes:4",
         "sharded:serial,serial",
         "resilient:sharded:serial,serial",
-        "resilient:pipelined:2",
     ])
     @pytest.mark.parametrize("seed", [5, 11])
     def test_crash_storm_preserves_bytes(
@@ -479,14 +477,14 @@ class TestResilientBackend:
         assert _wire(good) == oracle
         assert backend.last_resilience_stats.quarantined == 1
 
-    def test_poison_quarantined_through_pipelined_child(
+    def test_poison_quarantined_through_laned_child(
         self, setup, fault_free
     ):
-        """``resilient:pipelined:W`` composes: the pipelined child's
-        exhausted-retry ProofError is attributed and the poison task
-        quarantined, without losing the rest of the batch."""
+        """``resilient:lanes:W`` composes: a poisoned lane's
+        exhausted-retry ProofError is attributed and that task alone
+        quarantined, without sinking its lane-group mates."""
         _, spec, tasks = setup
-        backend = resolve_backend("resilient:pipelined:2")
+        backend = resolve_backend("resilient:lanes:4")
         injector = FaultInjector.from_plan("poison=3,seed=1")
         apply_fault_plan(backend, injector)
         results, _ = backend.prove_tasks(spec, tasks)
