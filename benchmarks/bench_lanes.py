@@ -31,6 +31,12 @@ def _report(row: dict) -> None:
         f"[lanes]     throughput: serial {row['serial_throughput']:.1f} "
         f"proofs/s -> laned {row['laned_throughput']:.1f} proofs/s"
     )
+    print(
+        f"[lanes]     encode stage: serial "
+        f"{row['serial_encode_seconds'] * 1e3:.1f} ms -> laned "
+        f"{row['laned_encode_seconds'] * 1e3:.1f} ms "
+        f"(ratio {row['laned_encode_ratio']:.2f})"
+    )
 
 
 if __name__ == "__main__":

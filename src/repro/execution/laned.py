@@ -18,7 +18,8 @@ Grouping and parity:
 * The ragged final group is padded back to full width by cycling the
   group's own tasks; pad-lane proofs are discarded.  Every dispatch
   therefore has one shape, mirroring the fixed-geometry kernel launches
-  of the paper's pipeline (§3).
+  of the paper's pipeline (§3).  ``lanes:auto`` balances its groups so
+  at most one pad lane per group is proved.
 * Proofs are byte-identical to :class:`~repro.execution.SerialBackend`
   lane for lane — each lane keeps its own transcript; only the array
   arithmetic is shared (see :mod:`repro.core.lanes`).
@@ -59,9 +60,11 @@ __all__ = [
     "resolve_lane_width",
 ]
 
-#: Widest group ``lanes:auto`` will form.  64 lanes is past the knee of
-#: the amortization curve at bench sizes (see benchmarks/bench_lanes.py)
-#: while keeping the per-group working set modest.
+#: Widest group ``lanes:auto`` will form; larger batches split into equal
+#: groups (see :func:`resolve_lane_width`).  With the cache-blocked SpMV,
+#: 64 lanes ties the fastest width at 256 gates and is within 7% of it at
+#: 4096, but 8 lanes beat it by 1.2× at 2048 (docs/PERFORMANCE.md §7.1);
+#: choosing the width per circuit size is left to a cost-model planner.
 AUTO_LANE_WIDTH = 64
 
 
@@ -70,12 +73,16 @@ def resolve_lane_width(width, n_tasks: int) -> int:
 
     ``width`` is an integer lane count or the string ``"auto"``.
 
-    ``auto`` never pads a batch smaller than the cap — it shrinks to the
-    batch size instead, so a 3-task batch is one 3-lane dispatch rather
-    than a 64-lane dispatch proving 61 discarded pads.
+    ``auto`` splits the batch into ``ceil(n / AUTO_LANE_WIDTH)`` groups
+    of as equal a size as possible, so a 3-task batch is one 3-lane
+    dispatch and 65 tasks are 33 + 32 lanes rather than 64 + a 1-task
+    group padded to 64.  At most ``groups − 1`` pad lanes are proved.
+    A fixed width keeps its padding.
     """
     if width == "auto":
-        return max(1, min(AUTO_LANE_WIDTH, n_tasks))
+        n = max(1, n_tasks)
+        groups = -(-n // AUTO_LANE_WIDTH)
+        return -(-n // groups)
     width = int(width)
     if width < 1:
         raise ExecutionError(f"lane width must be >= 1, got {width}")
@@ -100,11 +107,11 @@ def lane_selector(lanes, workers: int = 1) -> str:
 class LanedBackend:
     """Prove same-circuit tasks in lockstep lanes (S31).
 
-    ``lane_width`` is the group size (``"auto"`` sizes from the batch,
-    capped at :data:`AUTO_LANE_WIDTH`).  Execution is in-process and
-    serial across groups — parallel substrates compose around it
-    (``lanes:8:pool:4`` gives each pool worker a lane-group per
-    dispatch) or outside it (``resilient:lanes:8``).
+    ``lane_width`` is the group size (``"auto"`` splits the batch into
+    equal groups of at most :data:`AUTO_LANE_WIDTH`).  Execution is
+    in-process and serial across groups — parallel substrates compose
+    around it (``lanes:8:pool:4`` gives each pool worker a lane-group
+    per dispatch) or outside it (``resilient:lanes:8``).
     """
 
     def __init__(

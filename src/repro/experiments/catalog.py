@@ -252,6 +252,14 @@ _EXTENSION_SPECS = [
                 description="lane-vectorized proving must beat serial by "
                 "≥2x at 256 gates × 64 lanes",
             ),
+            Guard(
+                name="laned_encode",
+                metric="laned_encode_ratio",
+                op="<=",
+                threshold=1.0,
+                description="the laned encode stage must take no longer "
+                "than the serial encode stage for the same batch",
+            ),
         ),
         full_params={"gates": 256, "lanes": 64, "reps": 3},
         quick_params={"gates": 256, "lanes": 64, "reps": 2},

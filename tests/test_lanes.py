@@ -356,7 +356,11 @@ class TestLanedProofByteIdentity:
 class TestLaneBackend:
     def test_resolve_lane_width(self):
         assert resolve_lane_width("auto", 3) == 3
-        assert resolve_lane_width("auto", 500) == AUTO_LANE_WIDTH
+        # 500 tasks → ceil(500 / 64) = 8 balanced groups of at most 63.
+        assert resolve_lane_width("auto", 500) == 63
+        assert resolve_lane_width("auto", AUTO_LANE_WIDTH) == AUTO_LANE_WIDTH
+        assert resolve_lane_width("auto", 65) == 33
+        assert resolve_lane_width("auto", 100) == 50
         assert resolve_lane_width(7, 3) == 7
         with pytest.raises(Exception):
             resolve_lane_width(0, 3)
@@ -389,6 +393,30 @@ class TestLaneBackend:
         serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
         laned, _ = resolve_backend("lanes:auto").prove_tasks(spec, tasks)
         assert _wire(F, laned) == _wire(F, serial)
+
+    def test_auto_balances_groups_and_matches_serial(self, monkeypatch):
+        """``lanes:auto`` splits 65 tasks 33 + 32 and 100 tasks 50 + 50
+        instead of padding a ragged tail group up to 64 lanes."""
+        from repro.core.prover import SnarkProver
+
+        spec, tasks = _make_spec_and_tasks(F, 8, 100)
+        serial, _ = resolve_backend("serial").prove_tasks(spec, tasks)
+        widths = []
+        original = SnarkProver.prove_lanes
+
+        def counting(prover, witnesses, publics):
+            widths.append(len(witnesses))
+            return original(prover, witnesses, publics)
+
+        monkeypatch.setattr(SnarkProver, "prove_lanes", counting)
+        # Dispatch widths: the 32-task tail of 65 carries one pad lane.
+        for n, want in ((65, [33, 33]), (100, [50, 50])):
+            widths.clear()
+            laned, _ = resolve_backend("lanes:auto").prove_tasks(
+                spec, tasks[:n]
+            )
+            assert widths == want
+            assert _wire(F, laned) == _wire(F, serial[:n])
 
     def test_stage_seconds_keep_the_s27_invariant(self):
         """Amortized per-lane stages: Σ(exclusive) ≤ prove wall per task.
